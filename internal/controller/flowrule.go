@@ -3,7 +3,7 @@ package controller
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/store"
@@ -43,29 +43,40 @@ const (
 
 // Key returns the FlowsDB key for the rule: target switch plus a digest of
 // the match and priority, so add/modify/delete address the same entry.
+// The digest is FNV-1a64 over "<dpid>|<match>|<priority>" in decimal, and
+// the key renders as "<dpid.String()>/<16 hex digits>"; FlowsDB keys feed
+// store digests, so these bytes must not change.
 func (r FlowRule) Key() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", r.DPID, r.Match.String(), r.Priority)
-	return fmt.Sprintf("%s/%016x", r.DPID, h.Sum64())
+	var buf [160]byte
+	b := strconv.AppendUint(buf[:0], uint64(r.DPID), 10)
+	b = append(b, '|')
+	b = r.Match.AppendTo(b)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(r.Priority), 10)
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	k := r.DPID.AppendTo(buf[:0])
+	k = append(k, '/')
+	k = appendHex16(k, h)
+	return string(k)
 }
 
-// Encode serializes the rule for storage in FlowsDB.
-func (r FlowRule) Encode() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// Marshal of this struct cannot fail; keep the API infallible.
-		return "{}"
-	}
-	return string(b)
-}
+// FNV-1a64 parameters, inlined so Key does not allocate a hash.Hash64.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-// DecodeFlowRule parses a FlowsDB value.
-func DecodeFlowRule(s string) (FlowRule, error) {
-	var r FlowRule
-	if err := json.Unmarshal([]byte(s), &r); err != nil {
-		return FlowRule{}, fmt.Errorf("controller: decode flow rule: %w", err)
+// appendHex16 appends v as 16 lower-case, zero-padded hex digits.
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[(v>>uint(shift))&0xF])
 	}
-	return r, nil
+	return b
 }
 
 // FlowMod converts the rule to its OpenFlow message.

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -112,26 +113,57 @@ func (r Response) IsCache() bool {
 // identical side-effects produce identical bodies regardless of which
 // controller produced them.
 func (r Response) Body() string {
-	if r.Kind == ExecDone {
-		return "done"
-	}
-	if r.IsCache() {
-		return "cache|" + string(r.Cache) + "|" + r.Op.String() + "|" + r.Key + "|" + normalizeValue(r.Cache, r.Value)
-	}
-	return "net|" + r.DPID.String() + "|" + r.MsgType.String() + "|" + r.MsgBody
+	_, body := r.canonical()
+	return body
 }
 
 // Slot returns the comparison slot within a trigger: triggers may elicit
 // several side-effects (one flow rule per path switch), and consensus is
 // evaluated per slot.
 func (r Response) Slot() string {
+	slot, _ := r.canonical()
+	return slot
+}
+
+// canonical renders the slot and the body in one allocation:
+//
+//	kind            slot                 body
+//	ExecDone        done                 done
+//	cache entries   cache|<cache>|<key>  cache|<cache>|<op>|<key>|<value>
+//	network writes  net|<dpid>|<type>    net|<dpid>|<type>|<MsgBody>
+//
+// where a FlowsDB <value> is stripped of per-controller attribution.
+func (r *Response) canonical() (slot, body string) {
 	if r.Kind == ExecDone {
-		return "done"
+		return "done", "done"
 	}
+	var buf [512]byte
+	var b []byte
+	n := 0
 	if r.IsCache() {
-		return "cache|" + string(r.Cache) + "|" + r.Key
+		b = append(buf[:0], "cache|"...)
+		b = append(b, r.Cache...)
+		b = append(b, '|')
+		prefix := len(b)
+		b = append(b, r.Key...)
+		n = len(b)
+		b = append(b, b[:prefix]...)
+		b = append(b, r.Op.String()...)
+		b = append(b, '|')
+		b = append(b, r.Key...)
+		b = append(b, '|')
+		b = appendNormalizedValue(b, r.Cache, r.Value)
+	} else {
+		// The slot is a prefix of the body.
+		b = append(buf[:0], "net|"...)
+		b = r.DPID.AppendTo(b)
+		b = append(b, '|')
+		b = append(b, r.MsgType.String()...)
+		s := string(append(append(b, '|'), r.MsgBody...))
+		return s[:len(b)], s
 	}
-	return "net|" + r.DPID.String() + "|" + r.MsgType.String()
+	s := string(b)
+	return s[:n], s[n:]
 }
 
 // Size estimates the validator-bound wire size in bytes. Replicated
@@ -149,47 +181,74 @@ func (r Response) Size() int {
 	return 64 + len(r.MsgBody)/2
 }
 
-// normalizeValue strips per-controller attribution (origin, trigger taint)
-// from FlowsDB values so that the same rule computed by different replicas
-// compares equal.
-func normalizeValue(cache store.CacheName, value string) string {
-	if cache != store.FlowsDB {
-		return value
+// appendNormalizedValue appends value stripped of per-controller
+// attribution (origin, trigger taint) for FlowsDB, so that the same rule
+// computed by different replicas compares equal. Values of other caches,
+// and FlowsDB values that are not flow rules, append as they are.
+func appendNormalizedValue(b []byte, cache store.CacheName, value string) []byte {
+	if cache == store.FlowsDB {
+		if out, err := controller.AppendAttributionFree(b, value); err == nil {
+			return out
+		}
 	}
-	rule, err := controller.DecodeFlowRule(value)
-	if err != nil {
-		return value
-	}
-	rule.Origin = 0
-	rule.Trigger = ""
-	rule.State = ""
-	return rule.Encode()
+	return append(b, value...)
 }
 
 // CanonicalMessage renders a southbound message for comparison: FLOW_MODs
 // by their rule semantics, PACKET_OUTs by their action and payload class.
 func CanonicalMessage(msg openflow.Message) string {
+	var buf [256]byte
+	b := buf[:0]
 	switch m := msg.(type) {
 	case *openflow.FlowMod:
-		var b strings.Builder
-		fmt.Fprintf(&b, "flowmod|%s|prio=%d|%s|", m.Command, m.Priority, m.Match.String())
-		for _, a := range m.Actions {
-			fmt.Fprintf(&b, "out:%d,", a.Port)
-		}
-		fmt.Fprintf(&b, "|idle=%d|hard=%d", m.IdleTimeout, m.HardTimeout)
-		return b.String()
+		b = append(b, "flowmod|"...)
+		b = append(b, m.Command.String()...)
+		b = append(b, "|prio="...)
+		b = strconv.AppendUint(b, uint64(m.Priority), 10)
+		b = append(b, '|')
+		b = m.Match.AppendTo(b)
+		b = append(b, '|')
+		b = appendOutPorts(b, m.Actions)
+		b = append(b, "|idle="...)
+		b = strconv.AppendUint(b, uint64(m.IdleTimeout), 10)
+		b = append(b, "|hard="...)
+		b = strconv.AppendUint(b, uint64(m.HardTimeout), 10)
 	case *openflow.PacketOut:
-		var b strings.Builder
-		b.WriteString("packetout|")
-		for _, a := range m.Actions {
-			fmt.Fprintf(&b, "out:%d,", a.Port)
-		}
+		b = append(b, "packetout|"...)
+		b = appendOutPorts(b, m.Actions)
 		pf, err := openflow.ParsePacket(m.Data, 0)
 		if err == nil {
-			fmt.Fprintf(&b, "|eth=0x%04x|src=%s|dst=%s", pf.EthType, pf.EthSrc, pf.EthDst)
+			b = append(b, "|eth=0x"...)
+			for n := hexLen(pf.EthType); n < 4; n++ {
+				b = append(b, '0')
+			}
+			b = strconv.AppendUint(b, uint64(pf.EthType), 16)
+			b = append(b, "|src="...)
+			b = pf.EthSrc.AppendTo(b)
+			b = append(b, "|dst="...)
+			b = pf.EthDst.AppendTo(b)
 		}
-		return b.String()
 	default:
 		return strings.ToLower(msg.Type().String())
 	}
+	return string(b)
+}
+
+// appendOutPorts appends "out:<port>," for each action.
+func appendOutPorts(b []byte, actions []openflow.Action) []byte {
+	for _, a := range actions {
+		b = append(b, "out:"...)
+		b = strconv.AppendUint(b, uint64(a.Port), 10)
+		b = append(b, ',')
+	}
+	return b
+}
+
+// hexLen returns the number of hex digits in v (at least one).
+func hexLen(v uint16) int {
+	n := 1
+	for v >>= 4; v != 0; v >>= 4 {
+		n++
+	}
+	return n
 }

@@ -1,24 +1,54 @@
 package core
 
 import (
+	"slices"
 	"time"
 
+	"github.com/jurysdn/jury/internal/controller"
 	"github.com/jurysdn/jury/internal/obs"
+	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/simnet"
 	"github.com/jurysdn/jury/internal/store"
 	"github.com/jurysdn/jury/internal/trigger"
 )
 
-// psiState is one controller's Ψ entry: running count plus latest entry
-// digest (§IV-B), extended with the self-reported state snapshot used to
-// make omission conviction state-aware.
+// psiState is one controller's Ψ entry (§IV-B): its last self-reported
+// state snapshot and when it arrived, which make omission conviction
+// state-aware. Consensus compares per-response prior values (Prev), so Ψ
+// keeps no copy of the controller's latest entry.
 type psiState struct {
-	count  uint64
-	latest string
 	// digest is the controller's last self-reported state snapshot.
 	digest uint64
 	seen   bool
 	at     time.Duration
+}
+
+// entry is one response held by a pending trigger, with its comparison
+// slot and canonical body computed once at submission.
+type entry struct {
+	Response
+	slot string
+	body string
+
+	// flowMod caches expectedFlowMod: the body of the FLOW_MOD a FlowsDB
+	// write should produce, "" when the value is not a flow rule.
+	flowMod     string
+	flowModDone bool
+}
+
+// expectedFlowMod returns the body of the NetworkWrite response carrying
+// the FLOW_MOD this FlowsDB write should produce on the wire, decoding
+// the rule on first use only.
+func (e *entry) expectedFlowMod() (string, bool) {
+	if !e.flowModDone {
+		e.flowModDone = true
+		if rule, err := controller.DecodeFlowRule(e.Value); err == nil {
+			nw := Response{Kind: NetworkWrite, DPID: rule.DPID, MsgType: openflow.TypeFlowMod,
+				MsgBody: CanonicalMessage(rule.FlowMod(0))}
+			_, e.flowMod = nw.canonical()
+		}
+	}
+	return e.flowMod, e.flowMod != ""
 }
 
 // pendingTrigger is the validator's open state for one trigger τ.
@@ -36,15 +66,28 @@ type pendingTrigger struct {
 	primaryPsi    psiState
 	primaryPsiSet bool
 
-	// Per-controller responses.
-	byController map[store.NodeID][]Response
+	// responders lists the controllers that responded, in ascending ID
+	// order: the primary and its k secondaries, plus the masters of
+	// remote switches the primary's writes reached.
+	responders []store.NodeID
 	// primary is learned from response attribution.
 	primary store.NodeID
-	// noops counts secondaries that reported a side-effect-free
-	// replicated execution.
-	noops map[store.NodeID]bool
 
-	all []Response
+	// all holds the responses in arrival order. It is released once the
+	// trigger is decided: late responses are only counted.
+	all []entry
+}
+
+// addResponder records id as a responder, keeping the list sorted.
+func (p *pendingTrigger) addResponder(id store.NodeID) {
+	i := len(p.responders)
+	for i > 0 && p.responders[i-1] >= id {
+		if p.responders[i-1] == id {
+			return
+		}
+		i--
+	}
+	p.responders = slices.Insert(p.responders, i, id)
 }
 
 // vshard is one shard of the validation plane: the Ψ table, pending map,
@@ -59,7 +102,7 @@ type vshard struct {
 	v  *Validator
 	id int
 
-	// Ψ: per-controller state (running count + latest entry digest).
+	// Ψ: per-controller self-reported state snapshots.
 	psi map[store.NodeID]psiState
 
 	pending map[trigger.ID]*pendingTrigger
@@ -83,10 +126,6 @@ type vshard struct {
 // same Ψ regardless of which shard owns the trigger.
 func (s *vshard) observe(r Response) {
 	st := s.psi[r.Controller]
-	if r.IsCache() {
-		st.count++
-		st.latest = r.Body()
-	}
 	st.digest = r.StateDigest
 	st.seen = true
 	st.at = s.v.eng.Now()
@@ -107,10 +146,10 @@ func (s *vshard) submit(r Response) {
 	p, ok := s.pending[r.Trigger]
 	if !ok {
 		p = &pendingTrigger{
-			id:           r.Trigger,
-			firstAt:      v.eng.Now(),
-			byController: make(map[store.NodeID][]Response),
-			noops:        make(map[store.NodeID]bool),
+			id:         r.Trigger,
+			firstAt:    v.eng.Now(),
+			responders: make([]store.NodeID, 0, v.cfg.K+1),
+			all:        make([]entry, 0, v.cfg.K+1),
 		}
 		to := s.timeout()
 		p.timer = v.eng.Schedule(to, func() { s.expire(p) })
@@ -150,13 +189,12 @@ func (s *vshard) submit(r Response) {
 		})
 	}
 	p.responses++
-	p.all = append(p.all, r)
-	p.byController[r.Controller] = append(p.byController[r.Controller], r)
+	e := entry{Response: r}
+	e.slot, e.body = r.canonical()
+	p.all = append(p.all, e)
+	p.addResponder(r.Controller)
 	if r.Tainted {
 		p.tainted = true
-	}
-	if r.Kind == ExecDone {
-		p.noops[r.Controller] = true
 	}
 	if r.Primary != 0 {
 		p.primary = r.Primary
@@ -200,7 +238,7 @@ func (s *vshard) expire(p *pendingTrigger) {
 		})
 	}
 	if v.OnTimeoutResponses != nil {
-		v.OnTimeoutResponses(p.id, p.all)
+		v.OnTimeoutResponses(p.id, responsesOf(p.all))
 	}
 	s.decide(p, true)
 }
@@ -254,11 +292,14 @@ func (s *vshard) finish(p *pendingTrigger, res Result, timedOut bool) {
 		if len(evidence) > 32 {
 			evidence = evidence[:32]
 		}
-		res.Evidence = append([]Response(nil), evidence...)
+		res.Evidence = responsesOf(evidence)
 		if v.alarms.Len() < v.cfg.MaxAlarms {
 			v.alarms.Append(res)
 		}
 	}
+	// Late responses are only counted, so the decided trigger keeps no
+	// responses through its grace period.
+	p.all, p.responders = nil, nil
 	if v.tracer != nil {
 		id := string(p.id)
 		v.tracer.EndSpan(id, "validate", "validator", res.Reason)
@@ -275,6 +316,18 @@ func (s *vshard) finish(p *pendingTrigger, res Result, timedOut bool) {
 	if v.OnResult != nil {
 		v.OnResult(res)
 	}
+}
+
+// responsesOf copies the responses out of entries (nil for none).
+func responsesOf(entries []entry) []Response {
+	if len(entries) == 0 {
+		return nil
+	}
+	out := make([]Response, len(entries))
+	for i := range entries {
+		out[i] = entries[i].Response
+	}
+	return out
 }
 
 func (s *vshard) updateAdaptive(d time.Duration) {

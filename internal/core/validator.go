@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/jurysdn/jury/internal/cluster"
@@ -13,7 +14,6 @@ import (
 	"github.com/jurysdn/jury/internal/openflow"
 	"github.com/jurysdn/jury/internal/simnet"
 	"github.com/jurysdn/jury/internal/store"
-	"github.com/jurysdn/jury/internal/topo"
 	"github.com/jurysdn/jury/internal/trigger"
 )
 
@@ -214,6 +214,11 @@ type Validator struct {
 	// alarms retains fault results as a single-writer snapshot log, so
 	// Alarms() is safe under concurrent Submit.
 	alarms obs.Log[Result]
+
+	// Scratch buffers of evaluate, reused across calls: primaryResponses
+	// fills primaryBuf, primarySlots fills slotBuf and conflictGroup
+	// fills groupBuf. The decision loop is single-goroutine.
+	primaryBuf, slotBuf, groupBuf []*entry
 }
 
 // NewValidator creates a validator. members provides governance information
@@ -394,7 +399,7 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 		}
 		res = r
 	default:
-		r, conclusive := v.consensusInternal(p, primary, primaryID, quorum, final)
+		r, conclusive := v.consensusInternal(p, primary, primaryID, final)
 		if !conclusive {
 			return Result{}, false
 		}
@@ -406,7 +411,7 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 	}
 
 	// SANITY_CHECK: network writes must be consistent with cache state.
-	sres, bad, complete := v.sanityCheck(p, primary, final)
+	sres, bad, complete := v.sanityCheck(primary, final)
 	if bad {
 		sres.Kind = kind
 		return sres, true
@@ -418,7 +423,7 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 	// POLICY_CHECK on the primary's responses.
 	if v.Policy != nil {
 		for _, pr := range primary {
-			if name, violated := v.Policy(kind, primaryID, pr); violated {
+			if name, violated := v.Policy(kind, primaryID, pr.Response); violated {
 				return Result{
 					Kind:     kind,
 					Verdict:  VerdictFault,
@@ -434,11 +439,12 @@ func (v *Validator) evaluate(p *pendingTrigger, final bool) (Result, bool) {
 }
 
 // primaryResponses collects the primary controller's own (untainted)
-// responses.
-func (v *Validator) primaryResponses(p *pendingTrigger, primaryID store.NodeID) []Response {
-	var out []Response
-	for _, r := range p.byController[primaryID] {
-		if !r.Tainted {
+// responses, as pointers into p.all held in a buffer the next evaluate
+// reuses.
+func (v *Validator) primaryResponses(p *pendingTrigger, primaryID store.NodeID) []*entry {
+	out := v.primaryBuf[:0]
+	for i := range p.all {
+		if r := &p.all[i]; r.Controller == primaryID && !r.Tainted {
 			out = append(out, r)
 		}
 	}
@@ -447,78 +453,75 @@ func (v *Validator) primaryResponses(p *pendingTrigger, primaryID store.NodeID) 
 	// as authoritative cluster actions for this trigger. Controllers are
 	// visited in ID order: the collected responses feed the sanity check,
 	// whose first-mismatch verdict depends on their order.
-	for _, id := range controllerIDs(p) {
+	for _, id := range p.responders {
 		if id == primaryID {
 			continue
 		}
-		for _, r := range p.byController[id] {
-			if !r.Tainted && r.Kind == NetworkWrite {
+		for i := range p.all {
+			if r := &p.all[i]; r.Controller == id && !r.Tainted && r.Kind == NetworkWrite {
 				out = append(out, r)
 			}
 		}
 	}
+	v.primaryBuf = out
 	return out
 }
 
-// controllerIDs returns the trigger's responders in sorted order so
-// order-sensitive consumers visit controllers deterministically.
-func controllerIDs(p *pendingTrigger) []store.NodeID {
-	ids := make([]store.NodeID, 0, len(p.byController))
-	for id := range p.byController {
-		ids = append(ids, id)
+// primarySlots returns the primary responses that admit accepts, one per
+// slot (the last one wins) and sorted by slot: per-slot verdict loops
+// report the first faulting slot, so evaluation order must not depend on
+// arrival order. The result lives in a buffer the next call reuses.
+func (v *Validator) primarySlots(primary []*entry, admit func(*entry) bool) []*entry {
+	slots := v.slotBuf[:0]
+	for _, r := range primary {
+		if !admit(r) {
+			continue
+		}
+		i, found := slices.BinarySearchFunc(slots, r.slot, func(e *entry, slot string) int {
+			return strings.Compare(e.slot, slot)
+		})
+		if found {
+			slots[i] = r
+		} else {
+			slots = slices.Insert(slots, i, r)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// sortedKeys returns a response map's keys in sorted order; per-slot
-// verdict loops report the first faulting slot, so evaluation order must
-// not depend on map iteration.
-func sortedKeys(m map[string]Response) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	v.slotBuf = slots
+	return slots
 }
 
 // consensusExternal validates the primary's side-effects against the
 // independent replicated executions of the secondaries, slot by slot.
-func (v *Validator) consensusExternal(p *pendingTrigger, primary []Response, primaryID store.NodeID, quorum int, final bool) (Result, bool) {
-	slots := make(map[string]Response)
-	for _, r := range primary {
+func (v *Validator) consensusExternal(p *pendingTrigger, primary []*entry, primaryID store.NodeID, quorum int, final bool) (Result, bool) {
+	slots := v.primarySlots(primary, func(r *entry) bool {
+		// FLOW_MODs materialize from the flow cache, which secondaries
+		// never write (side-effect suppression), so no replicated
+		// execution can vouch for this slot directly: it is validated
+		// against the replicated cache copies by SANITY_CHECK instead.
 		if r.Kind == NetworkWrite && r.MsgType == openflow.TypeFlowMod {
-			// FLOW_MODs materialize from the flow cache, which
-			// secondaries never write (side-effect suppression), so no
-			// replicated execution can vouch for this slot directly:
-			// it is validated against the replicated cache copies by
-			// SANITY_CHECK instead.
-			continue
+			return false
 		}
-		if r.Kind == CacheUpdate || r.Kind == NetworkWrite {
-			slots[r.Slot()] = r
-		}
-	}
+		return r.Kind == CacheUpdate || r.Kind == NetworkWrite
+	})
 	if len(slots) == 0 {
 		// Primary reported only no-ops; nothing to validate.
 		return Result{Verdict: VerdictValid}, final
 	}
 	allAgreed := true
-	for _, slot := range sortedKeys(slots) {
-		pr := slots[slot]
-		agree, sameStateConflicts, _ := v.tally(p, pr, slot, primaryID)
+	for _, pr := range slots {
+		slot := pr.slot
+		agree, sameStateConflicts, _ := v.tally(p, pr, primaryID)
 		// A conflicting quorum is reached either by secondaries sharing
 		// the primary's pre-trigger state, or by a group of secondaries
 		// with equivalent views among themselves that independently
 		// computed the same different answer.
-		if g := v.conflictGroup(p, pr, slot, primaryID); g > sameStateConflicts {
+		if g := v.conflictGroup(p, pr, primaryID); g > sameStateConflicts {
 			sameStateConflicts = g
 		}
 		if sameStateConflicts >= quorum {
 			// Known non-deterministic applications are exempt from
 			// conviction (§VIII-2 future work).
-			if v.NonDetExempt != nil && v.NonDetExempt(pr) {
+			if v.NonDetExempt != nil && v.NonDetExempt(pr.Response) {
 				return Result{Verdict: VerdictNonDeterministic}, true
 			}
 			// Non-determinism check (§IV-C B): when every response on
@@ -532,7 +535,7 @@ func (v *Validator) consensusExternal(p *pendingTrigger, primary []Response, pri
 				Verdict:  VerdictFault,
 				Fault:    FaultValue,
 				Offender: primaryID,
-				Reason:   fmt.Sprintf("slot %s: %d same-state replicas contradict the primary", slot, sameStateConflicts),
+				Reason:   "slot " + slot + ": " + strconv.Itoa(sameStateConflicts) + " same-state replicas contradict the primary",
 			}, true
 		}
 		if agree+1 < quorum { // +1 for the primary itself
@@ -548,7 +551,7 @@ func (v *Validator) consensusExternal(p *pendingTrigger, primary []Response, pri
 				// excluded to avert false positives from transient
 				// state asynchrony (§IV-C A).
 				counter := sameStateConflicts + v.sameStateNoops(p, pr)
-				if g := v.conflictGroup(p, pr, slot, primaryID); g > counter {
+				if g := v.conflictGroup(p, pr, primaryID); g > counter {
 					counter = g
 				}
 				if counter >= quorum {
@@ -556,7 +559,7 @@ func (v *Validator) consensusExternal(p *pendingTrigger, primary []Response, pri
 						Verdict:  VerdictFault,
 						Fault:    FaultValue,
 						Offender: primaryID,
-						Reason:   fmt.Sprintf("slot %s: majority of same-state replicas disagree with the primary", slot),
+						Reason:   "slot " + slot + ": majority of same-state replicas disagree with the primary",
 					}, true
 				}
 				// Insufficient counter-evidence: accept.
@@ -572,37 +575,22 @@ func (v *Validator) consensusExternal(p *pendingTrigger, primary []Response, pri
 // consensusInternal validates internal triggers: the k+1 cache-update
 // copies must agree (they are replicas of one event, so disagreement means
 // corruption in flight or at a replica).
-func (v *Validator) consensusInternal(p *pendingTrigger, primary []Response, primaryID store.NodeID, quorum int, final bool) (Result, bool) {
-	slots := make(map[string]Response)
-	for _, r := range primary {
-		if r.Kind == CacheUpdate {
-			slots[r.Slot()] = r
-		}
-	}
-	for _, slot := range sortedKeys(slots) {
-		pr := slots[slot]
-		conflicts := 0
-		//jurylint:allow maprange -- commutative conflict count; visit order cannot change it
-		for id, rs := range p.byController {
-			if id == primaryID {
+func (v *Validator) consensusInternal(p *pendingTrigger, primary []*entry, primaryID store.NodeID, final bool) (Result, bool) {
+	slots := v.primarySlots(primary, func(r *entry) bool { return r.Kind == CacheUpdate })
+	for _, pr := range slots {
+		for i := range p.all {
+			r := &p.all[i]
+			if r.Controller == primaryID || r.Kind != CacheUpdate || r.slot != pr.slot {
 				continue
 			}
-			for _, r := range rs {
-				if r.Kind != CacheUpdate || r.Slot() != slot {
-					continue
-				}
-				if r.Body() != pr.Body() {
-					conflicts++
-				}
+			if r.body != pr.body {
+				return Result{
+					Verdict:  VerdictFault,
+					Fault:    FaultValue,
+					Offender: primaryID,
+					Reason:   "slot " + pr.slot + ": replica cache copies diverge",
+				}, true
 			}
-		}
-		if conflicts > 0 {
-			return Result{
-				Verdict:  VerdictFault,
-				Fault:    FaultValue,
-				Offender: primaryID,
-				Reason:   fmt.Sprintf("slot %s: replica cache copies diverge", slot),
-			}, true
 		}
 	}
 	// An internal trigger's response complement is not knowable up
@@ -612,32 +600,30 @@ func (v *Validator) consensusInternal(p *pendingTrigger, primary []Response, pri
 	if !final {
 		return Result{}, false
 	}
-	_ = quorum
 	return Result{Verdict: VerdictValid}, true
 }
 
-// tally counts, for one slot, secondaries agreeing with the primary's body
-// and conflicting responses (split by state equivalence, §IV-C A).
-func (v *Validator) tally(p *pendingTrigger, pr Response, slot string, primaryID store.NodeID) (agree, sameStateConflicts, anyConflicts int) {
-	want := pr.Body()
-	//jurylint:allow maprange -- commutative tally; per-controller counts do not depend on visit order
-	for id, rs := range p.byController {
+// tally counts, for the primary response's slot, secondaries agreeing with
+// its body and conflicting responses (split by state equivalence, §IV-C A).
+func (v *Validator) tally(p *pendingTrigger, pr *entry, primaryID store.NodeID) (agree, sameStateConflicts, anyConflicts int) {
+	for _, id := range p.responders {
 		if id == primaryID {
 			continue
 		}
 		matched := false
 		conflicted := false
 		sameState := false
-		for _, r := range rs {
-			if r.Slot() != slot || r.Kind == ExecDone {
+		for i := range p.all {
+			r := &p.all[i]
+			if r.Controller != id || r.slot != pr.slot || r.Kind == ExecDone {
 				continue
 			}
-			if r.Body() == want {
+			if r.body == pr.body {
 				matched = true
 				continue
 			}
 			conflicted = true
-			if v.cfg.NoStateAware || equivState(r, pr) {
+			if v.cfg.NoStateAware || equivState(&r.Response, &pr.Response) {
 				sameState = true
 			}
 		}
@@ -655,23 +641,20 @@ func (v *Validator) tally(p *pendingTrigger, pr Response, slot string, primaryID
 }
 
 // conflictGroup returns the size of the largest set of secondaries that
-// disagree with the primary on a slot while agreeing with each other on
+// disagree with the primary on its slot while agreeing with each other on
 // both the response body and their own state snapshot — an
 // equivalent-view consensus contradicting the primary.
-func (v *Validator) conflictGroup(p *pendingTrigger, pr Response, slot string, primaryID store.NodeID) int {
-	want := pr.Body()
-	groups := make(map[string]map[store.NodeID]bool)
-	//jurylint:allow maprange -- commutative grouping; membership sets do not depend on visit order
-	for id, rs := range p.byController {
+func (v *Validator) conflictGroup(p *pendingTrigger, pr *entry, primaryID store.NodeID) int {
+	// members holds one response per (secondary, group), so a group's
+	// size is its number of members.
+	members := v.groupBuf[:0]
+	for _, id := range p.responders {
 		if id == primaryID {
 			continue
 		}
-		for _, r := range rs {
-			if r.Slot() != slot || r.Kind == ExecDone {
-				continue
-			}
-			body := r.Body()
-			if body == want {
+		for i := range p.all {
+			r := &p.all[i]
+			if r.Controller != id || r.slot != pr.slot || r.Kind == ExecDone || r.body == pr.body {
 				continue
 			}
 			// Group conviction applies to cache slots, where the
@@ -679,7 +662,7 @@ func (v *Validator) conflictGroup(p *pendingTrigger, pr Response, slot string, p
 			// network responses (deliveries) depend on racy lookups and
 			// only count when their whole-store snapshot matches the
 			// primary's (handled by the per-replica tally).
-			if !r.IsCache() && !v.cfg.NoStateAware && !equivState(r, pr) {
+			if !r.IsCache() && !v.cfg.NoStateAware && !equivState(&r.Response, &pr.Response) {
 				continue
 			}
 			// A group of replicas that is *behind* the primary (fewer
@@ -689,53 +672,55 @@ func (v *Validator) conflictGroup(p *pendingTrigger, pr Response, slot string, p
 			if !v.cfg.NoStateAware && r.StateApplied < pr.StateApplied {
 				continue
 			}
-			key := fmt.Sprintf("%s|%s", stateKey(r), body)
-			set := groups[key]
-			if set == nil {
-				set = make(map[store.NodeID]bool)
-				groups[key] = set
+			if !slices.ContainsFunc(members, func(m *entry) bool { return m.Controller == id && sameGroup(m, r) }) {
+				members = append(members, r)
 			}
-			set[id] = true
 		}
 	}
+	v.groupBuf = members
 	best := 0
-	//jurylint:allow maprange -- commutative max; visit order cannot change the largest size
-	for _, set := range groups {
-		if len(set) > best {
-			best = len(set)
+	for _, a := range members {
+		n := 0
+		for _, b := range members {
+			if sameGroup(a, b) {
+				n++
+			}
 		}
+		best = max(best, n)
 	}
 	return best
+}
+
+// sameGroup reports whether two responses on one slot computed the same
+// body from the same view: the same prior value of a cache entry, or the
+// same whole-store snapshot for other responses.
+func sameGroup(a, b *entry) bool {
+	if a.body != b.body || a.IsCache() != b.IsCache() {
+		return false
+	}
+	if a.IsCache() {
+		return a.PrevOK == b.PrevOK && (!a.PrevOK || a.Prev == b.Prev)
+	}
+	return a.StateDigest == b.StateDigest
 }
 
 // equivState reports whether two responses were produced from equivalent
 // views: for cache writes, both responders saw the same prior value of the
 // acted-on entry (the per-entry refinement of Ψ's "latest update"); for
 // other responses, the whole-store snapshot digests must match.
-func equivState(a, b Response) bool {
+func equivState(a, b *Response) bool {
 	if a.IsCache() && b.IsCache() {
 		return a.PrevOK == b.PrevOK && a.Prev == b.Prev
 	}
 	return a.StateDigest == b.StateDigest
 }
 
-// stateKey renders the comparable view of a response for grouping.
-func stateKey(r Response) string {
-	if r.IsCache() {
-		if !r.PrevOK {
-			return "absent"
-		}
-		return "prev:" + r.Prev
-	}
-	return fmt.Sprintf("digest:%x", r.StateDigest)
-}
-
 // sameStateNoops counts secondaries that reported a no-op execution from
 // the same pre-trigger state as the primary's response.
-func (v *Validator) sameStateNoops(p *pendingTrigger, pr Response) int {
+func (v *Validator) sameStateNoops(p *pendingTrigger, pr *entry) int {
 	count := 0
-	for _, r := range p.all {
-		if r.Kind == ExecDone && r.StateDigest == pr.StateDigest {
+	for i := range p.all {
+		if r := &p.all[i]; r.Kind == ExecDone && r.StateDigest == pr.StateDigest {
 			count++
 		}
 	}
@@ -748,25 +733,14 @@ func quorumOf(k int) int { return k/2 + 1 }
 // taintedResponders counts distinct controllers that reported replicated
 // execution (side-effects or ExecDone) for the trigger.
 func (v *Validator) taintedResponders(p *pendingTrigger) int {
-	count := 0
-	//jurylint:allow maprange -- commutative count of distinct responders
-	for id, rs := range p.byController {
-		_ = id
-		for _, r := range rs {
-			if r.Tainted {
-				count++
-				break
-			}
-		}
-	}
-	return count
+	return v.countResponders(p, func(r *entry) bool { return r.Tainted })
 }
 
 // cacheEffectsPresent reports whether any replicated execution produced a
 // cache-write side-effect.
 func (v *Validator) cacheEffectsPresent(p *pendingTrigger) bool {
-	for _, r := range p.all {
-		if r.Tainted && r.Kind != ExecDone && r.IsCache() {
+	for i := range p.all {
+		if r := &p.all[i]; r.Tainted && r.Kind != ExecDone && r.IsCache() {
 			return true
 		}
 	}
@@ -776,8 +750,8 @@ func (v *Validator) cacheEffectsPresent(p *pendingTrigger) bool {
 // effectFromState reports whether some side-effect-producing secondary
 // executed from the given state snapshot.
 func (v *Validator) effectFromState(p *pendingTrigger, digest uint64) bool {
-	for _, r := range p.all {
-		if r.Tainted && r.Kind != ExecDone && r.StateDigest == digest {
+	for i := range p.all {
+		if r := &p.all[i]; r.Tainted && r.Kind != ExecDone && r.StateDigest == digest {
 			return true
 		}
 	}
@@ -787,45 +761,57 @@ func (v *Validator) effectFromState(p *pendingTrigger, digest uint64) bool {
 // secondariesWithEffects counts distinct secondaries whose replicated
 // execution produced at least one side-effect.
 func (v *Validator) secondariesWithEffects(p *pendingTrigger) int {
-	seen := make(map[store.NodeID]bool)
-	for _, r := range p.all {
-		if r.Tainted && r.Kind != ExecDone {
-			seen[r.Controller] = true
+	return v.countResponders(p, func(r *entry) bool { return r.Tainted && r.Kind != ExecDone })
+}
+
+// countResponders counts distinct controllers with at least one response
+// that match admits.
+func (v *Validator) countResponders(p *pendingTrigger, match func(*entry) bool) int {
+	count := 0
+	for _, id := range p.responders {
+		for i := range p.all {
+			if r := &p.all[i]; r.Controller == id && match(r) {
+				count++
+				break
+			}
 		}
 	}
-	return len(seen)
+	return count
 }
 
 // allDistinct reports whether every response on a slot has a unique body.
 func (v *Validator) allDistinct(p *pendingTrigger, slot string) bool {
-	seen := make(map[string]bool)
-	for _, r := range p.all {
-		if r.Slot() != slot || r.Kind == ExecDone {
+	n := 0
+	for i := range p.all {
+		a := &p.all[i]
+		if a.slot != slot || a.Kind == ExecDone {
 			continue
 		}
-		if seen[r.Body()] {
-			return false
+		for j := 0; j < i; j++ {
+			if b := &p.all[j]; b.slot == slot && b.Kind != ExecDone && b.body == a.body {
+				return false
+			}
 		}
-		seen[r.Body()] = true
+		n++
 	}
-	return len(seen) > 1
+	return n > 1
 }
 
 // sanityCheck asserts cache/network consistency for the primary's
 // responses: every non-delete FlowsDB cache write must be matched by an
 // equivalent FLOW_MOD on the network, and every FLOW_MOD must be backed by
 // a cache write (§II-A3).
-func (v *Validator) sanityCheck(p *pendingTrigger, primary []Response, final bool) (res Result, bad, complete bool) {
+func (v *Validator) sanityCheck(primary []*entry, final bool) (res Result, bad, complete bool) {
 	var (
-		cacheRules = make(map[string]Response) // canonical net body -> cache response
-		netWrites  []Response
+		cacheRules = make(map[string]*entry) // expected FLOW_MOD body -> cache response
+		netWrites  []*entry
 	)
 	for _, r := range primary {
 		switch r.Kind {
 		case CacheUpdate:
 			if r.Cache == store.FlowsDB && r.Op != store.OpDelete {
-				if body, dpid, ok := expectedNetBody(r); ok {
-					cacheRules["net|"+dpid.String()+"|FLOW_MOD|"+body] = r
+				if body, ok := r.expectedFlowMod(); ok {
+					cacheRules[body] = r
 				}
 			}
 		case NetworkWrite:
@@ -836,7 +822,7 @@ func (v *Validator) sanityCheck(p *pendingTrigger, primary []Response, final boo
 	}
 	// Every FLOW_MOD must correspond to a cache rule.
 	for _, nw := range netWrites {
-		key := "net|" + nw.DPID.String() + "|FLOW_MOD|" + nw.MsgBody
+		key := nw.body
 		if _, ok := cacheRules[key]; ok {
 			delete(cacheRules, key)
 			continue
@@ -884,12 +870,13 @@ func (v *Validator) sanityCheck(p *pendingTrigger, primary []Response, final boo
 	return Result{}, false, true
 }
 
-// expectedNetBody derives the canonical FLOW_MOD body a FlowsDB cache
-// entry should produce on the wire.
-func expectedNetBody(r Response) (body string, dpid topo.DPID, ok bool) {
-	rule, err := controller.DecodeFlowRule(r.Value)
-	if err != nil {
-		return "", 0, false
+// sortedKeys returns a response map's keys in sorted order, so a verdict
+// that reports the first offending key does not depend on map iteration.
+func sortedKeys(m map[string]*entry) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return CanonicalMessage(rule.FlowMod(0)), rule.DPID, true
+	slices.Sort(keys)
+	return keys
 }

@@ -18,7 +18,6 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"time"
@@ -525,9 +524,36 @@ func EventDigest(ev Event) uint64 {
 }
 
 // eventDigest hashes one event; node digests XOR-fold these so the digest
-// depends on the set of applied events, not their interleaving.
+// depends on the set of applied events, not their interleaving. It is
+// FNV-1a64 over "<origin>|<seq>|<cache>|<op>|<key>|<value>" with the
+// integers in decimal.
 func eventDigest(ev Event) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s|%d|%s|%s", ev.Origin, ev.Seq, ev.Cache, ev.Op, ev.Key, ev.Value)
-	return h.Sum64()
+	var num [20]byte
+	h := fnvAdd(fnvOffset64, strconv.AppendInt(num[:0], int64(ev.Origin), 10))
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, strconv.AppendUint(num[:0], ev.Seq, 10))
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, ev.Cache)
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, strconv.AppendUint(num[:0], uint64(ev.Op), 10))
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, ev.Key)
+	h = fnvAdd(h, "|")
+	return fnvAdd(h, ev.Value)
+}
+
+// FNV-1a64 parameters, inlined so eventDigest does not allocate a
+// hash.Hash64.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvAdd folds the bytes of s into the FNV-1a64 state h.
+func fnvAdd[T ~string | ~[]byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }

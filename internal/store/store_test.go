@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -362,5 +364,43 @@ func TestCrashedOriginDoesNotCommitStrongWrite(t *testing.T) {
 	}
 	if _, ok := n2.Get(HostDB, "k"); ok {
 		t.Fatal("replica applied write from crashed origin")
+	}
+}
+
+// fmtEventDigest is the fmt rendering eventDigest replaced; node digests
+// fold these hashes, so the hashed bytes must not change.
+func fmtEventDigest(ev Event) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%d|%s|%d|%s|%s", ev.Origin, ev.Seq, ev.Cache, ev.Op, ev.Key, ev.Value)
+	return h.Sum64()
+}
+
+func TestEventDigestBytes(t *testing.T) {
+	golden := []struct {
+		ev   Event
+		want uint64
+	}{
+		{Event{Origin: 3, Seq: 17, Cache: FlowsDB, Op: OpUpdate, Key: "of:0000000000000003/abc", Value: `{"x":"τ"}`}, 7617276585137608877},
+		{Event{Origin: -1, Cache: HostDB, Op: OpDelete}, 13386782200364356992},
+	}
+	for _, g := range golden {
+		if got := EventDigest(g.ev); got != g.want {
+			t.Fatalf("EventDigest(%+v) = %d, want %d", g.ev, got, g.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	caches := []CacheName{FlowsDB, HostDB, LinksDB, SwitchDB, "x|y"}
+	for i := 0; i < 2000; i++ {
+		ev := Event{
+			Origin: NodeID(rng.Int63() - rng.Int63()),
+			Seq:    rng.Uint64() >> uint(rng.Intn(64)),
+			Cache:  caches[rng.Intn(len(caches))],
+			Op:     Op(rng.Intn(256)),
+			Key:    fmt.Sprint(rng.Int()),
+			Value:  fmt.Sprintf("v|%x|τ", rng.Int63()),
+		}
+		if got, want := EventDigest(ev), fmtEventDigest(ev); got != want {
+			t.Fatalf("EventDigest(%+v) = %d, fmt rendering = %d", ev, got, want)
+		}
 	}
 }

@@ -15,8 +15,22 @@ import (
 // DPID is a switch datapath identifier.
 type DPID uint64
 
-// String renders the DPID as the usual hex form.
-func (d DPID) String() string { return fmt.Sprintf("of:%016x", uint64(d)) }
+// String renders the DPID as the usual hex form, "of:" and 16 lower-case
+// hex digits.
+func (d DPID) String() string {
+	var buf [19]byte
+	return string(d.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of d to b.
+func (d DPID) AppendTo(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	b = append(b, "of:"...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[(uint64(d)>>uint(shift))&0xF])
+	}
+	return b
+}
 
 // HostID identifies a host.
 type HostID string

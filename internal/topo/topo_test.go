@@ -1,9 +1,24 @@
 package topo
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+func TestDPIDStringMatchesFmt(t *testing.T) {
+	if got := DPID(0x2a).String(); got != "of:000000000000002a" {
+		t.Fatalf("DPID(42) = %q", got)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		d := DPID(rng.Uint64() >> uint(rng.Intn(64)))
+		if got, want := d.String(), fmt.Sprintf("of:%016x", uint64(d)); got != want {
+			t.Fatalf("DPID.String = %q, fmt = %q", got, want)
+		}
+	}
+}
 
 func TestLinearTopology(t *testing.T) {
 	top, err := Linear(24)

@@ -336,8 +336,23 @@ func TestFlapStormBackoffGrows(t *testing.T) {
 // bool, not a counter. A burst of pings arriving while the writer is
 // wedged is answered with exactly one pong — a pong proves liveness
 // idempotently — and owed pongs never inflate Backlog().
+// writeEnteredConn closes entered when the first Write begins, so a test
+// can wait until the client's writer is inside a (possibly blocking)
+// write.
+type writeEnteredConn struct {
+	net.Conn
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (c *writeEnteredConn) Write(b []byte) (int, error) {
+	c.once.Do(func() { close(c.entered) })
+	return c.Conn.Write(b)
+}
+
 func TestPongDebtCapped(t *testing.T) {
-	clientEnd, serverEnd := net.Pipe()
+	pipeEnd, serverEnd := net.Pipe()
+	clientEnd := &writeEnteredConn{Conn: pipeEnd, entered: make(chan struct{})}
 	var (
 		dialMu  sync.Mutex
 		dials   int
@@ -370,6 +385,13 @@ func TestPongDebtCapped(t *testing.T) {
 	// peer isn't reading yet (net.Pipe is synchronous).
 	if err := c.Send(resp(1, "τpong", core.CacheUpdate, false, "up")); err != nil {
 		t.Fatal(err)
+	}
+	// The pings must arrive only once the writer is blocked inside that
+	// write; earlier, the owed pong could be written ahead of it.
+	select {
+	case <-clientEnd.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer never started writing the response")
 	}
 	// A burst of pings arrives while the writer is blocked; a trailing
 	// stats reply proves (in-order) that all three were processed.
